@@ -120,11 +120,11 @@ func TestClusterEndToEnd(t *testing.T) {
 	// The distributed query must return the sequential solution set
 	// exactly. http.Get follows the placement redirect, so either node's
 	// URL works regardless of which one owns the graph.
-	want := collectStream(t, a.URL+"/graphs/g/enumerate?k=1")
+	_, want := collectStream(t, a.URL+"/graphs/g/enumerate?k=1")
 	if len(want) == 0 {
 		t.Fatal("no solutions at all (implausible)")
 	}
-	got := collectStream(t, a.URL+"/graphs/g/enumerate?k=1&shards=2")
+	_, got := collectStream(t, a.URL+"/graphs/g/enumerate?k=1&shards=2")
 	if !sameSolutions(got, want) {
 		t.Fatalf("sharded cluster query: %d solutions, sequential %d", len(got), len(want))
 	}

@@ -37,8 +37,12 @@ func postMutation(t *testing.T, ts *httptest.Server, name, body string) (mutatio
 	return doc, resp.StatusCode
 }
 
-// collectStream gathers every solution of a legacy enumerate stream.
-func collectStream(t *testing.T, url string) []kbiplex.Solution {
+// collectStream reads a legacy enumerate stream to its NDJSON trailer
+// and returns the response header with every streamed solution. The run
+// must end cleanly: an error frame, or a body that ends without a done
+// trailer, fails the test. Hanging up before the trailer would cancel
+// the run, and a cancelled run is never admitted to the result cache.
+func collectStream(t *testing.T, url string) (http.Header, []kbiplex.Solution) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -49,6 +53,7 @@ func collectStream(t *testing.T, url string) []kbiplex.Solution {
 		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
 	var sols []kbiplex.Solution
+	done := false
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var line struct {
@@ -58,15 +63,22 @@ func collectStream(t *testing.T, url string) []kbiplex.Solution {
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatal(err)
 		}
-		if line.Done || line.Error != "" {
-			if line.Error != "" {
-				t.Fatalf("stream error: %s", line.Error)
-			}
+		if line.Error != "" {
+			t.Fatalf("stream error: %s", line.Error)
+		}
+		if line.Done {
+			done = true
 			continue
 		}
 		sols = append(sols, kbiplex.Solution{L: line.L, R: line.R})
 	}
-	return sols
+	if err := sc.Err(); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if !done {
+		t.Fatalf("GET %s: stream ended after %d solutions without a done trailer", url, len(sols))
+	}
+	return resp.Header, sols
 }
 
 func solutionSet(sols []kbiplex.Solution) map[string]bool {
@@ -133,7 +145,7 @@ func TestMutateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collectStream(t, ts.URL+"/graphs/dyn/enumerate?k=1")
+	_, got := collectStream(t, ts.URL+"/graphs/dyn/enumerate?k=1")
 	if !sameSolutions(got, wantSols) {
 		t.Fatalf("post-mutation enumeration: got %d solutions, want %d", len(got), len(wantSols))
 	}
@@ -176,22 +188,18 @@ func TestMutateInvalidatesResultCache(t *testing.T) {
 	loadRandomGraph(t, ts, "c", 10, 10, 2, 3)
 	url := ts.URL + "/graphs/c/enumerate?k=1"
 
-	verdict := func() string {
+	// The handler admits a clean run before it writes the trailer, so a
+	// repeat after a stream read to its trailer finds the entry without
+	// polling.
+	verdict := func() (string, []kbiplex.Solution) {
 		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		bufio.NewScanner(resp.Body).Scan()
-		v := resp.Header.Get(headerCache)
-		resp.Body.Close()
-		return v
+		h, sols := collectStream(t, url)
+		return h.Get(headerCache), sols
 	}
-	if v := verdict(); v != "miss" {
+	if v, _ := verdict(); v != "miss" {
 		t.Fatalf("first query: cache %q", v)
 	}
-	if v := verdict(); v != "hit" {
+	if v, _ := verdict(); v != "hit" {
 		t.Fatalf("repeat query: cache %q", v)
 	}
 	// Inserting beyond the current right side is never a noop, so the
@@ -199,8 +207,20 @@ func TestMutateInvalidatesResultCache(t *testing.T) {
 	if doc, status := postMutation(t, ts, "c", `{"op":"insert","l":0,"r":20}`); status != http.StatusOK || doc.Inserted != 1 {
 		t.Fatalf("mutation: status %d doc %+v", status, doc)
 	}
-	if v := verdict(); v != "miss" {
+	v, got := verdict()
+	if v != "miss" {
 		t.Fatalf("post-mutation query: cache %q, want miss", v)
+	}
+	ng, _, err := bigraph.ApplyEdits(kbiplex.RandomBipartite(10, 10, 2, 3), []bigraph.Edit{{V: 0, U: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := kbiplex.EnumerateAll(ng, kbiplex.Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSolutions(got, want) {
+		t.Fatalf("post-mutation query: got %d solutions, want the mutated graph's %d", len(got), len(want))
 	}
 	var stats map[string]any
 	getJSON(t, ts.URL+"/stats", &stats)
@@ -293,7 +313,7 @@ func TestJobPinsSubmissionEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := collectStream(t, ts.URL+"/graphs/pin/enumerate?k=1")
+	_, fresh := collectStream(t, ts.URL+"/graphs/pin/enumerate?k=1")
 	if !sameSolutions(fresh, wantNew) {
 		t.Fatalf("fresh query has %d solutions, want the mutated graph's %d", len(fresh), len(wantNew))
 	}
@@ -335,7 +355,7 @@ func TestMutateRestartReplaysJournal(t *testing.T) {
 	if doc, status := postMutation(t, ts, "wal", `{"op":"insert","l":3,"r":2}`); status != http.StatusOK || doc.Epoch != 2 {
 		t.Fatalf("mutation: %d %+v", status, doc)
 	}
-	wantSols := collectStream(t, ts.URL+"/graphs/wal/enumerate?k=1")
+	_, wantSols := collectStream(t, ts.URL+"/graphs/wal/enumerate?k=1")
 	wantEdges := 6 + 2 - 1
 	ts.Close()
 	if err := srv.Close(); err != nil {
@@ -360,7 +380,7 @@ func TestMutateRestartReplaysJournal(t *testing.T) {
 	if int(info["num_edges"].(float64)) != wantEdges {
 		t.Fatalf("restart num_edges = %v, want %d", info["num_edges"], wantEdges)
 	}
-	got := collectStream(t, ts2.URL+"/graphs/wal/enumerate?k=1")
+	_, got := collectStream(t, ts2.URL+"/graphs/wal/enumerate?k=1")
 	if !sameSolutions(got, wantSols) {
 		t.Fatalf("restart enumeration differs: %d vs %d solutions", len(got), len(wantSols))
 	}

@@ -325,9 +325,10 @@ func TestLargest(t *testing.T) {
 // TestCancelStopsEnumeration is the end-to-end cancellation test: a
 // client starts streaming an enumeration that would run far longer than
 // the test, cancels the request after a few solutions, and the server's
-// underlying enumeration must stop (observed via active_queries).
+// underlying enumeration must stop (observed via active_queries). The
+// partial run must not be admitted to the result cache.
 func TestCancelStopsEnumeration(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	ts, srv := newTestServerPair(t, Config{})
 	// Large and dense enough that a full k=1 enumeration is effectively
 	// unbounded at test scale.
 	loadRandomGraph(t, ts, "big", 150, 150, 4, 9)
@@ -356,12 +357,20 @@ func TestCancelStopsEnumeration(t *testing.T) {
 		}
 		getJSON(t, ts.URL+"/graphs/big", &info)
 		if info.Active == 0 {
-			return // enumeration goroutine exited: cancellation propagated
+			break // enumeration goroutine exited: cancellation propagated
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("enumeration still active %v after client cancel", 15*time.Second)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+
+	// A cache hit replays a complete solution set, so a cancelled run is
+	// never admitted. Close waits for the handler to return, so an
+	// admission after the engine stopped would already be counted.
+	ts.Close()
+	if n := srv.results.Stats().Admitted; n != 0 {
+		t.Fatalf("result_cache.admitted = %d after a cancelled stream, want 0", n)
 	}
 }
 
